@@ -97,13 +97,19 @@ class RateMonitor:
         return len(self._counts)
 
     def current_rates(self) -> RateCatalog:
-        """Rates (events per time unit) over the retained horizon."""
+        """Rates (events per time unit) over the retained horizon.
+
+        The divisor is the time span the retained timestamps cover, from the
+        earliest to the latest inclusive and capped at the horizon, so time
+        units without events count: one ``A`` every 10 units is a rate of
+        about 0.1, not 1.0.
+        """
         if not self._counts:
             return RateCatalog(default_rate=0.0)
         totals: Counter = Counter()
         for bucket in self._counts.values():
             totals.update(bucket)
-        span = max(len(self._counts), 1)
+        span = min(self.horizon, self._latest_timestamp - min(self._counts) + 1)
         return RateCatalog(
             {event_type: count / span for event_type, count in totals.items()},
             default_rate=0.0,

@@ -58,7 +58,8 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
 class EventLogError(ValueError):
-    """Raised for malformed logs: bad header, version skew, non-scalar attrs."""
+    """Raised for malformed logs: bad header, version skew, non-scalar attrs,
+    or an event line that does not parse (such as a torn last line)."""
 
 
 def event_to_record(event: Event) -> dict:
@@ -209,11 +210,20 @@ class EventLogReader:
         with self.path.open("r", encoding="utf-8") as handle:
             handle.readline()  # header, validated in __init__
             index = 0
-            for line in handle:
+            for number, line in enumerate(handle, 2):
                 if not line.strip():
                     continue
                 if index >= start:
-                    yield event_from_record(json.loads(line))
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as error:
+                        # Typically a torn tail: a crash mid-append before the
+                        # batched fsync completed the line.
+                        raise EventLogError(
+                            f"{self.path} line {number} is not a complete event "
+                            f"record: {error}"
+                        ) from None
+                    yield event_from_record(record)
                 index += 1
 
     def count_events(self) -> int:

@@ -60,10 +60,6 @@ class ASeqExecutor:
     late_policy:
         ``"raise"`` (default), ``"drop"``, or a callable side channel for
         events beyond the lateness bound.
-    backend:
-        Numeric kernel backend (:mod:`repro.executor.kernels`):
-        ``"python"`` (default), ``"numpy"``, or ``"auto"``; results are
-        bit-identical across backends.
     churn:
         Optional attach/detach schedule applied at batch boundaries while
         :meth:`run` consumes the stream (``docs/churn.md``); since A-Seq
@@ -84,7 +80,6 @@ class ASeqExecutor:
         start_method: str | None = None,
         max_lateness: int | None = None,
         late_policy="raise",
-        backend: str = "python",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
     ) -> None:
         if shards < 1:
@@ -118,7 +113,6 @@ class ASeqExecutor:
                 panes=panes,
                 columnar=columnar,
                 start_method=start_method,
-                backend=backend,
             )
         else:
             self._engine = StreamingEngine(
@@ -130,11 +124,14 @@ class ASeqExecutor:
                 columnar=columnar,
                 max_lateness=max_lateness,
                 late_policy=late_policy,
-                backend=backend,
             )
 
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:
         """Evaluate the workload over ``stream`` and return results + metrics."""
         if self.churn:
-            return self._engine.run(stream, churn=self.churn)
+            engine = self._engine
+            if engine.workload is not self.workload:
+                # A previous run left its churned workload on the engine.
+                engine.set_workload(self.workload, SharingPlan())
+            return engine.run(stream, churn=self.churn)
         return self._engine.run(stream)

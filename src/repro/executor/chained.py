@@ -185,7 +185,6 @@ class QueryChainState:
         query: Query,
         decomposition: QueryDecomposition,
         shared_states: dict,
-        backend: str = "python",
     ) -> None:
         self.query = query
         self.runners: list = []
@@ -194,9 +193,7 @@ class QueryChainState:
                 shared_state = shared_states[segment.pattern]
                 self.runners.append(SharedSegmentRunner(shared_state, query.aggregate))
             else:
-                self.runners.append(
-                    PrivateSegmentState(segment.pattern, query.aggregate, backend)
-                )
+                self.runners.append(PrivateSegmentState(segment.pattern, query.aggregate))
 
     def _carry_provider(self, index: int) -> CarryProvider:
         if index == 0:

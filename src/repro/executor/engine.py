@@ -58,7 +58,6 @@ from .chained import QueryChainState, stage_event_types
 from .churn import ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
-from .kernels import resolve_backend
 from .prefix_agg import SharedSegmentState
 from .results import QueryResult, ResultSet
 
@@ -106,7 +105,6 @@ class CompiledWorkload:
         workload: Workload,
         plan: SharingPlan | None = None,
         compaction: bool = True,
-        backend: str = "python",
     ) -> None:
         if len(workload) == 0:
             raise ValueError("cannot execute an empty workload")
@@ -120,9 +118,6 @@ class CompiledWorkload:
         self.plan = plan if plan is not None else SharingPlan()
         #: Whether scopes built from this compilation auto-compact cohorts.
         self.compaction = compaction
-        #: Resolved numeric backend ("python"/"numpy") every scope built from
-        #: this compilation threads into its column families and summarisers.
-        self.backend = resolve_backend(backend)
         reference: Query = workload[0]
         self.window: SlidingWindow = reference.window
         self.predicates: PredicateSet = reference.predicates
@@ -239,20 +234,12 @@ class WindowGroupScope:
         self.window = window
         self.group = group
         self.shared_states: dict[Pattern, SharedSegmentState] = {
-            pattern: SharedSegmentState(
-                pattern,
-                specs,
-                auto_compact=compiled.compaction,
-                backend=compiled.backend,
-            )
+            pattern: SharedSegmentState(pattern, specs, auto_compact=compiled.compaction)
             for pattern, specs in compiled.shared_specs.items()
         }
         self.chains: dict[str, QueryChainState] = {
             query.name: QueryChainState(
-                query,
-                compiled.decompositions[query.name],
-                self.shared_states,
-                backend=compiled.backend,
+                query, compiled.decompositions[query.name], self.shared_states
             )
             for query in compiled.workload
         }
@@ -816,7 +803,7 @@ class PaneEngineSession:
             executor_name=engine.name, memory_sample_interval=engine.memory_sample_interval
         )
         self.results = ResultSet()
-        self._pane_compiled = CompiledPaneWorkload(engine.workload, backend=engine.backend)
+        self._pane_compiled = CompiledPaneWorkload(engine.workload)
         self._pane_width = engine.compiled.window.pane_width
         #: The single open pane: index plus one scope per group seen in it.
         self._open_pane_index: "int | None" = None
@@ -921,7 +908,7 @@ class PaneEngineSession:
 
     def _migrate_panes(self, workload: Workload) -> None:
         """Re-point live pane state at a freshly compiled pane workload."""
-        new_compiled = CompiledPaneWorkload(workload, backend=self.engine.backend)
+        new_compiled = CompiledPaneWorkload(workload)
         for scope in self._open_pane_scopes.values():
             scope.migrate(new_compiled)
         for by_group in self._accumulators.values():
@@ -1136,16 +1123,10 @@ class StreamingEngine:
         columnar: bool = True,
         max_lateness: "int | None" = None,
         late_policy="raise",
-        backend: str = "python",
     ) -> None:
         self.workload = workload
         self.compaction = compaction
-        #: Resolved numeric backend (``"python"``/``"numpy"``; ``"auto"``
-        #: resolves here, once, so every scope and shard agrees).
-        self.backend = resolve_backend(backend)
-        self.compiled = CompiledWorkload(
-            workload, plan, compaction=compaction, backend=self.backend
-        )
+        self.compiled = CompiledWorkload(workload, plan, compaction=compaction)
         self.name = name
         self.memory_sample_interval = memory_sample_interval
         self.panes = panes
@@ -1166,9 +1147,7 @@ class StreamingEngine:
 
     def set_plan(self, plan: SharingPlan) -> None:
         """Switch to ``plan`` for scopes created from now on (plan migration)."""
-        self.compiled = CompiledWorkload(
-            self.workload, plan, compaction=self.compaction, backend=self.backend
-        )
+        self.compiled = CompiledWorkload(self.workload, plan, compaction=self.compaction)
 
     def set_workload(self, workload: Workload, plan: "SharingPlan | None" = None) -> CompiledWorkload:
         """Swap the live workload (query churn) and return the new compilation.
@@ -1184,7 +1163,7 @@ class StreamingEngine:
         which additionally maintains emission gates, migrates pane state,
         and records the churn history checkpoints pin.
         """
-        compiled = CompiledWorkload(workload, plan, compaction=self.compaction, backend=self.backend)
+        compiled = CompiledWorkload(workload, plan, compaction=self.compaction)
         current = self.compiled.window
         if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
             raise ValueError("query churn cannot change the window geometry of a running engine")

@@ -47,8 +47,6 @@ to this mode when ``k > 1`` (see ``StreamingEngine.panes_eligible``).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from array import array
 
 from ..events.event import Event
@@ -253,21 +251,9 @@ class PaneStateMatrix:
         self.updates = state["updates"]
 
 
-def make_pane_matrix(
-    pattern: Pattern, spec: AggregateSpec, backend: str = "python"
-) -> "PaneCountMatrix | PaneStateMatrix":
-    """Pick the cheapest matrix representation for ``spec``.
-
-    ``backend="numpy"`` swaps COUNT(*) storage for
-    :class:`~repro.executor.kernels.NumpyPaneCountMatrix` (``int64`` rows,
-    vectorised commits and folds, same exports).  State matrices are
-    pattern-length-squared tiny and stay pure Python under every backend.
-    """
+def make_pane_matrix(pattern: Pattern, spec: AggregateSpec) -> "PaneCountMatrix | PaneStateMatrix":
+    """Pick the cheapest matrix representation for ``spec``."""
     if spec.kind == AggregationKind.COUNT_STAR:
-        if backend == "numpy":
-            from .kernels import NumpyPaneCountMatrix
-
-            return NumpyPaneCountMatrix(pattern, spec)
         return PaneCountMatrix(pattern, spec)
     return PaneStateMatrix(pattern, spec)
 
@@ -287,11 +273,9 @@ class CompiledPaneWorkload:
     never change which matches a query's full pattern has.
     """
 
-    def __init__(self, workload: Workload, backend: str = "python") -> None:
+    def __init__(self, workload: Workload) -> None:
         self.workload = workload
         self.window = workload[0].window
-        #: Resolved numeric backend threaded into every pane matrix.
-        self.backend = backend
         #: query name -> its matrix key.
         self.key_by_query: dict[str, MatrixKey] = {}
         #: matrix key -> (pattern, spec, positions-by-type).
@@ -368,7 +352,7 @@ class PaneScope:
                     pattern, spec, _positions = compiled.matrix_infos[key]
                     matrix = self.matrices.get(key)
                     if matrix is None:
-                        matrix = make_pane_matrix(pattern, spec, compiled.backend)
+                        matrix = make_pane_matrix(pattern, spec)
                         self.matrices[key] = matrix
                     matrix.apply_batch(by_position, spec)
 
@@ -413,7 +397,7 @@ class PaneScope:
         for index, cells in state["matrices"]:
             key = compiled.matrix_keys[index]
             pattern, spec, _positions = compiled.matrix_infos[key]
-            matrix = make_pane_matrix(pattern, spec, compiled.backend)
+            matrix = make_pane_matrix(pattern, spec)
             matrix.restore_cells(cells)
             self.matrices[key] = matrix
 

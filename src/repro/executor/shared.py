@@ -82,12 +82,6 @@ class SharonExecutor:
         What happens to events beyond the lateness bound: ``"raise"`` (the
         default), ``"drop"`` (counted in ``events_dropped``), or a callable
         side channel receiving each late event.
-    backend:
-        Numeric kernel backend for the aggregation layer
-        (:mod:`repro.executor.kernels`): ``"python"`` (the default, the
-        exact reference), ``"numpy"`` (vectorised column commits; requires
-        the optional numpy dependency), or ``"auto"`` (numpy when
-        available).  Results are bit-identical across backends.
     churn:
         Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
         build one from) of timestamped attach/detach operations applied at
@@ -113,7 +107,6 @@ class SharonExecutor:
         start_method: str | None = None,
         max_lateness: int | None = None,
         late_policy="raise",
-        backend: str = "python",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
     ) -> None:
         if plan is None:
@@ -153,7 +146,6 @@ class SharonExecutor:
                 panes=panes,
                 columnar=columnar,
                 start_method=start_method,
-                backend=backend,
             )
         else:
             self._engine = StreamingEngine(
@@ -166,13 +158,16 @@ class SharonExecutor:
                 columnar=columnar,
                 max_lateness=max_lateness,
                 late_policy=late_policy,
-                backend=backend,
             )
 
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:
         """Evaluate the workload over ``stream`` according to the sharing plan."""
         if self.churn:
-            return self._engine.run(stream, churn=self.churn)
+            engine = self._engine
+            if engine.workload is not self.workload:
+                # A previous run left its churned workload on the engine.
+                engine.set_workload(self.workload, self.plan)
+            return engine.run(stream, churn=self.churn)
         return self._engine.run(stream)
 
 

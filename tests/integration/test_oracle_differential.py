@@ -39,18 +39,10 @@ cube, and arrivals *beyond* the bound must land in the
 ``events_late``/``events_dropped`` counters (or the raise/side-channel
 policies) rather than corrupting results.
 
-A fifth, kernel-targeted grid replays scenarios through the engine with the
-optional numpy kernel backend (``backend="numpy"``, see
-:mod:`repro.executor.kernels`) across the columnar/panes/compaction toggle
-cube, so the vectorised count columns, state columns, and pane matrices are
-differentially pinned against the oracle wherever numpy is importable (the
-grid skips cleanly without the optional dependency).
-
 Grid sizes are controlled by the ``ORACLE_DIFF_SCENARIOS`` (default 240),
 ``PANE_DIFF_SCENARIOS`` (default 120), ``SHARDED_DIFF_SCENARIOS``
-(default 40), ``DISORDER_DIFF_SCENARIOS`` (default 60), and
-``KERNEL_DIFF_SCENARIOS`` (default 60) environment variables; CI may
-reduce them.  Seeds are fixed so every run is reproducible.
+(default 40), and ``DISORDER_DIFF_SCENARIOS`` (default 60) environment
+variables; CI may reduce them.  Seeds are fixed so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -69,7 +61,6 @@ from repro.executor import (
     SharonExecutor,
     SpassLikeExecutor,
 )
-from repro.executor.kernels import numpy_available
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
@@ -86,9 +77,6 @@ NUM_SHARDED_SCENARIOS = int(os.environ.get("SHARDED_DIFF_SCENARIOS", "40"))
 
 #: Scenarios delivered in bounded-disorder arrival orders per full run.
 NUM_DISORDER_SCENARIOS = int(os.environ.get("DISORDER_DIFF_SCENARIOS", "60"))
-
-#: Scenarios replayed through the numpy kernel backend per full run.
-NUM_KERNEL_SCENARIOS = int(os.environ.get("KERNEL_DIFF_SCENARIOS", "60"))
 
 #: Scenarios are split into parametrized blocks so failures localise.
 NUM_BLOCKS = 8
@@ -148,30 +136,6 @@ def sharded_executors_under_test(workload: Workload, seed: int):
         ("Sharon-sharded-2", SharonExecutor(workload, plan=plan, shards=2)),
         ("Sharon-sharded-3-hash", SharonExecutor(workload, plan=plan, shards=3, shard_strategy="hash")),
         ("A-Seq-sharded-2", ASeqExecutor(workload, shards=2)),
-    )
-
-
-def kernel_executors_under_test(workload: Workload, seed: int):
-    """The numpy-kernel engine variants (the kernel grid's executor set).
-
-    Spans the toggle cube the kernel columns sit under: columnar and scalar
-    ingestion (both feed the same column commits), pane mode (the vectorised
-    pane matrices), and compaction off (long columns, the ``merge_cohorts``
-    path never trims them), plus the non-shared A-Seq decomposition.
-    """
-    plan = deterministic_plan(workload, seed)
-    return (
-        ("Sharon-numpy", SharonExecutor(workload, plan=plan, backend="numpy")),
-        (
-            "Sharon-numpy-scalar",
-            SharonExecutor(workload, plan=plan, columnar=False, backend="numpy"),
-        ),
-        ("Sharon-numpy-panes", SharonExecutor(workload, plan=plan, panes=True, backend="numpy")),
-        (
-            "Sharon-numpy-no-compaction",
-            SharonExecutor(workload, plan=plan, compaction=False, backend="numpy"),
-        ),
-        ("A-Seq-numpy", ASeqExecutor(workload, backend="numpy")),
     )
 
 
@@ -264,19 +228,6 @@ def test_sharded_engine_matches_oracle_on_randomized_grid(block):
         if seed >= NUM_SHARDED_SCENARIOS:
             break
         check_scenario(seed, executors=sharded_executors_under_test)
-
-
-@pytest.mark.parametrize("block", range(NUM_BLOCKS))
-def test_numpy_backend_matches_oracle_on_randomized_grid(block):
-    """The numpy kernel backend equals the oracle across the toggle cube."""
-    if not numpy_available():
-        pytest.skip("numpy is not importable; the kernel-backend grid has nothing to pin")
-    per_block = (NUM_KERNEL_SCENARIOS + NUM_BLOCKS - 1) // NUM_BLOCKS
-    for offset in range(per_block):
-        seed = block * per_block + offset
-        if seed >= NUM_KERNEL_SCENARIOS:
-            break
-        check_scenario(seed, executors=kernel_executors_under_test)
 
 
 def disorder_executors_under_test(workload: Workload, seed: int, max_lateness: int):

@@ -25,7 +25,7 @@ from repro.executor import (
 )
 from repro.executor.engine import StreamingEngine
 from repro.queries import Pattern, Query, Workload
-from repro.replay import describe_churn_op
+from repro.replay import ReplayRunner, describe_churn_op
 
 
 WINDOW = SlidingWindow(size=8, slide=4)
@@ -277,6 +277,83 @@ class TestExecutorChurnWiring:
         reference = gated.run(stream).results
         expected = ResultSet(r for r in reference if r.window.start >= 4)
         assert ResultSet(r for r in results if r.query_name == "joiner").matches(expected)
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        [ChurnOp("attach", 4, query=make_query("joiner", ("C", "D")))],
+        [ChurnOp("detach", 5, query_name="q2")],
+    ],
+    ids=["attach", "detach"],
+)
+class TestChurnedRerun:
+    """Every run starts from the constructor's workload, whatever the last run churned."""
+
+    STREAM = [("C", 1), ("A", 2), ("D", 3), ("B", 4), ("C", 5), ("A", 6), ("D", 7), ("B", 9)]
+
+    def _workload(self):
+        return Workload([make_query("q1"), make_query("q2", ("A", "D"))])
+
+    @pytest.mark.parametrize("executor_class", [SharonExecutor, ASeqExecutor])
+    def test_executor_runs_twice_identically(self, ops, executor_class):
+        kwargs = {"plan": SharingPlan()} if executor_class is SharonExecutor else {}
+        executor = executor_class(self._workload(), churn=ops, **kwargs)
+        first = executor.run(EventStream.from_tuples(self.STREAM)).results
+        second = executor.run(EventStream.from_tuples(self.STREAM)).results
+        assert first.nonzero()
+        assert second.matches(first), second.differences(first)[:5]
+
+    def test_replay_runner_runs_twice_identically(self, ops):
+        runner = ReplayRunner(self._workload(), churn=ops)
+        first = runner.run(EventStream.from_tuples(self.STREAM))
+        second = runner.run(EventStream.from_tuples(self.STREAM))
+        assert second.state_hash == first.state_hash
+        assert second.report.results.matches(first.report.results)
+
+
+@pytest.mark.parametrize("build", ["sharon", "aseq", "replay"])
+class TestRerunRecompiles:
+    """A rerun recompiles the engine only when the previous run changed it."""
+
+    STREAM = TestChurnedRerun.STREAM
+
+    def _build(self, build, churn=None):
+        workload = Workload([make_query("q1"), make_query("q2", ("A", "D"))])
+        if build == "sharon":
+            return SharonExecutor(workload, plan=SharingPlan(), churn=churn)
+        if build == "aseq":
+            return ASeqExecutor(workload, churn=churn)
+        return ReplayRunner(workload, churn=churn)
+
+    def _record_recompiles(self, monkeypatch, target):
+        engine = target.engine if isinstance(target, ReplayRunner) else target._engine
+        calls = []
+        original = engine.set_workload
+
+        def recording(workload, plan=None, **kwargs):
+            calls.append(workload)
+            return original(workload, plan, **kwargs)
+
+        monkeypatch.setattr(engine, "set_workload", recording)
+        return calls
+
+    def test_unchurned_reruns_never_recompile(self, monkeypatch, build):
+        target = self._build(build)
+        calls = self._record_recompiles(monkeypatch, target)
+        target.run(EventStream.from_tuples(self.STREAM))
+        target.run(EventStream.from_tuples(self.STREAM))
+        assert calls == []
+
+    def test_churned_rerun_first_restores_the_constructor_workload(self, monkeypatch, build):
+        churn = [ChurnOp("detach", 5, query_name="q2")]
+        target = self._build(build, churn)
+        calls = self._record_recompiles(monkeypatch, target)
+        target.run(EventStream.from_tuples(self.STREAM))
+        first_run_calls = len(calls)
+        target.run(EventStream.from_tuples(self.STREAM))
+        assert len(calls) > first_run_calls
+        assert calls[first_run_calls] is target.workload
 
 
 class TestDescribeChurnOp:

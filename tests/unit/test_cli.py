@@ -67,6 +67,14 @@ class TestParser:
         assert args.executor == "aseq"
         assert args.dataset == "ecommerce"
 
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["replay", "--log", "events.jsonl"]], ids=["run", "replay"]
+    )
+    def test_no_backend_option(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--backend", "python"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_optimize_command_prints_plan(self, capsys):

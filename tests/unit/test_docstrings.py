@@ -95,22 +95,6 @@ def test_audit_covers_the_new_sharding_surface():
     assert "repro.executor.sharding.ShardPlan.skew" in names
 
 
-def test_audit_covers_the_kernel_surface():
-    """The walker must include the kernel backend module (audit self-check).
-
-    The module imports (and is therefore audited) regardless of whether the
-    optional numpy dependency is installed — the seam itself is part of the
-    public surface everywhere.
-    """
-    names = {name for name, _obj in public_symbols(repro.executor)}
-    assert "repro.executor.kernels" in names
-    assert "repro.executor.kernels.resolve_backend" in names
-    assert "repro.executor.kernels.NumpyCountColumns" in names
-    assert "repro.executor.kernels.NumpyCountColumns.extend_commit" in names
-    assert "repro.executor.kernels.NumpyStateColumns.merge_cohorts" in names
-    assert "repro.executor.kernels.NumpyPaneCountMatrix.fold" in names
-
-
 def test_audit_covers_the_churn_surface():
     """The walker must include the live-churn layer (audit self-check)."""
     executor_names = {name for name, _obj in public_symbols(repro.executor)}

@@ -55,7 +55,27 @@ class TestRateMonitor:
         monitor.observe(Event("B", 2))  # far stale: ignored
         rates = monitor.current_rates()
         assert monitor.observed_time_units == 2
-        assert rates.rate("B") == pytest.approx(1 / 2)
+        # Retained timestamps 7 and 10 span four time units.
+        assert rates.rate("B") == pytest.approx(1 / 4)
+
+    def test_rates_count_time_units_without_events(self):
+        """Sparse events are divided by the span they cover, not by their count."""
+        monitor = RateMonitor(horizon=300)
+        monitor.observe_all(Event("A", t) for t in range(0, 100, 10))
+        assert monitor.current_rates().rate("A") == pytest.approx(10 / 91)
+
+    def test_rate_span_starts_at_the_earliest_retained_timestamp(self):
+        monitor = RateMonitor(horizon=50)
+        monitor.observe_all(Event("A", t) for t in range(0, 100, 10))
+        # Timestamps 50..90 are retained (40 and below fall out of the horizon).
+        assert monitor.current_rates().rate("A") == pytest.approx(5 / 41)
+
+    def test_single_timestamp_burst_is_a_rate_over_one_unit(self):
+        monitor = RateMonitor(horizon=100)
+        monitor.observe_all([Event("A", 7), Event("A", 7), Event("B", 7)])
+        rates = monitor.current_rates()
+        assert rates.rate("A") == pytest.approx(2.0)
+        assert rates.rate("B") == pytest.approx(1.0)
 
     def test_drift_detection(self):
         monitor = RateMonitor(horizon=10, drift_threshold=0.5)

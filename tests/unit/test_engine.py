@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.core import SharingCandidate, SharingPlan
 from repro.events import EventStream, SlidingWindow, WindowInstance
-from repro.executor import CompiledWorkload, StreamingEngine
+from repro.executor import (
+    ASeqExecutor,
+    CompiledWorkload,
+    ShardedEngine,
+    SharonExecutor,
+    StreamingEngine,
+)
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
+from repro.replay import ReplayRunner
 
 from ..conftest import make_events
 
@@ -175,3 +184,36 @@ class TestEngineWithSharingPlan:
         workload = make_workload()
         report = StreamingEngine(workload).run(make_events([("A", 1), ("B", 2)]))
         assert report.metrics.total_events == 2
+
+
+class TestNoBackendKnob:
+    """Each aggregate kind has one column family; nothing selects another."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda workload, **kw: StreamingEngine(workload, **kw),
+            lambda workload, **kw: CompiledWorkload(workload, SharingPlan(), **kw),
+            lambda workload, **kw: SharonExecutor(workload, plan=SharingPlan(), **kw),
+            lambda workload, **kw: ASeqExecutor(workload, **kw),
+            lambda workload, **kw: ShardedEngine(workload, shards=2, **kw),
+            lambda workload, **kw: ReplayRunner(workload, **kw),
+        ],
+        ids=[
+            "StreamingEngine",
+            "CompiledWorkload",
+            "SharonExecutor",
+            "ASeqExecutor",
+            "ShardedEngine",
+            "ReplayRunner",
+        ],
+    )
+    def test_constructors_reject_backend(self, build):
+        workload = Workload([Query(Pattern(["A", "B"]), SlidingWindow(4, 2), name="q")])
+        build(workload)  # the same call without the keyword is valid
+        with pytest.raises(TypeError, match="backend"):
+            build(workload, backend="python")
+
+    def test_kernel_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.executor.kernels")

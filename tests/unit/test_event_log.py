@@ -143,6 +143,47 @@ class TestWriterReader:
         with pytest.raises(EventLogError, match="unparseable"):
             EventLogReader(path)
 
+    def test_reader_names_the_torn_last_line(self, tmp_path):
+        """A crash mid-append leaves a partial last line; reading it must raise
+        EventLogError naming the file and line, not a raw JSONDecodeError."""
+        path = tmp_path / "torn.jsonl"
+        events = [Event("A", t, {"value": t}, event_id=t) for t in range(20)]
+        write_event_log(events, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-9])
+        reader = EventLogReader(path)
+        replayed = []
+        with pytest.raises(EventLogError, match=r"torn\.jsonl line 21 is not a complete"):
+            for event in reader:
+                replayed.append(event)
+        assert replayed == events[:19]
+
+    def test_reader_names_a_corrupt_middle_line(self, tmp_path):
+        """The events before a corrupt line are delivered; the error names it."""
+        path = tmp_path / "corrupt.jsonl"
+        events = [Event("A", t, {"value": t}, event_id=t) for t in range(20)]
+        write_event_log(events, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[6] = lines[6][: len(lines[6]) // 2] + "\n"  # event 5, file line 7
+        path.write_text("".join(lines), encoding="utf-8")
+        replayed = []
+        with pytest.raises(EventLogError, match=r"corrupt\.jsonl line 7 is not a complete"):
+            for event in EventLogReader(path):
+                replayed.append(event)
+        assert replayed == events[:5]
+
+    def test_resumed_read_reports_the_torn_line_too(self, tmp_path):
+        """Reading from an offset parses the torn tail and names its line."""
+        path = tmp_path / "torn.jsonl"
+        events = [Event("A", t, {"value": t}, event_id=t) for t in range(20)]
+        write_event_log(events, path)
+        path.write_bytes(path.read_bytes()[:-9])
+        replayed = []
+        with pytest.raises(EventLogError, match=r"torn\.jsonl line 21"):
+            for event in EventLogReader(path).events_from(15):
+                replayed.append(event)
+        assert replayed == events[15:19]
+
 
 # -- property tests -----------------------------------------------------------
 
