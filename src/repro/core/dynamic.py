@@ -168,7 +168,8 @@ class AdaptiveSharonExecutor:
         Relative rate drift that triggers re-optimization.
     optimizer_factory:
         Builds the optimizer used at every (re-)optimization; defaults to
-        :class:`SharonOptimizer` with a small time budget.
+        :class:`SharonOptimizer` with a 2 s time budget (a cap of 10,000
+        search nodes, so the plans chosen do not depend on machine speed).
     """
 
     def __init__(

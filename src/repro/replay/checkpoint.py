@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,9 +152,24 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: "str | Path") -> Path:
-    """Write a checkpoint file (canonical JSON, single object)."""
+    """Write a checkpoint file (canonical JSON, single object) atomically.
+
+    The bytes go to a sibling temporary file, which is flushed and fsynced
+    before ``os.replace`` moves it over ``path``.  A crash mid-write therefore
+    leaves ``path`` as it was (absent, or the previous checkpoint), never
+    torn; a failed write removes its temporary file.
+    """
     path = Path(path)
-    path.write_text(canonical_json(checkpoint.as_payload()) + "\n", encoding="utf-8")
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(canonical_json(checkpoint.as_payload()) + "\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return path
 
 

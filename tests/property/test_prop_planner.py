@@ -4,7 +4,8 @@ Random weighted conflict graphs are generated and the following invariants of
 Sections 5 and 6 are checked:
 
 * the plan finder's result equals the brute-force maximum weight independent
-  set (optimality, Lemma 7);
+  set (optimality, Lemma 7), and is the very plan the level-wise traversal
+  of Algorithm 4 picks among ties;
 * the GWMIN independent set respects its guaranteed weight (Equation 10);
 * graph reduction never changes the optimum (conflict-free candidates are in
   every optimal plan, conflict-ridden ones in none);
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 
 from repro.core import (
     SharingCandidate,
+    SharingPlan,
     SharonGraph,
+    enumerate_valid_plans,
     find_optimal_plan,
     generate_next_level,
     gwmin_independent_set,
@@ -68,6 +71,60 @@ def test_plan_finder_is_optimal(graph):
     plan = find_optimal_plan(graph)
     assert graph.is_independent_set(plan.candidates)
     assert abs(plan.score - brute_force_optimum(graph)) < 1e-6
+
+
+@st.composite
+def tie_prone_graphs(draw, max_vertices: int = 12):
+    """Graphs of up to 12 vertices; half of them carry tied integer weights."""
+    size = draw(st.integers(min_value=0, max_value=max_vertices))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(1, 4).map(float), min_size=size, max_size=size))
+    else:
+        weights = draw(
+            st.lists(
+                st.floats(min_value=0.5, max_value=50.0, allow_nan=False).map(
+                    lambda w: round(w, 2)
+                ),
+                min_size=size,
+                max_size=size,
+            )
+        )
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    rng = draw(st.randoms(use_true_random=False))
+    vertices = [
+        SharingCandidate(Pattern([f"A{i:02d}", f"B{i:02d}"]), ("q1", "q2"), w)
+        for i, w in enumerate(weights)
+    ]
+    graph = SharonGraph(vertices)
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                graph.add_edge(vertices[i], vertices[j])
+    return graph
+
+
+def level_wise_choice(graph: SharonGraph) -> SharingPlan:
+    """The plan Algorithm 4's level-wise traversal returns.
+
+    It keeps the first plan of strictly greater score, visiting plans by size
+    and, within a size, in canonical order: so among the plans of maximal
+    score (summed left to right in canonical order) it picks the one with the
+    fewest candidates, then the lexicographically smallest.
+    """
+    return min(
+        enumerate_valid_plans(graph),
+        key=lambda plan: (
+            -sum(c.benefit for c in plan.candidates),
+            len(plan),
+            [c.key() for c in plan.candidates],
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_prone_graphs())
+def test_plan_finder_picks_the_level_wise_plan(graph):
+    assert find_optimal_plan(graph).candidates == level_wise_choice(graph).candidates
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,11 +4,13 @@ and the checkpoint file format (repro.replay.checkpoint)."""
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from repro.core import SharingCandidate, SharingPlan
-from repro.events import EventStream, SlidingWindow, WindowCursor
+from repro.events import EventStream, SlidingWindow, WindowCursor, write_event_log
 from repro.executor import StreamingEngine
 from repro.executor.metrics import MetricsCollector
 from repro.executor.prefix_agg import _I64_MAX, _CountColumns
@@ -16,6 +18,7 @@ from repro.queries import AggregateSpec, AggregateState, Pattern, PredicateSet, 
 from repro.replay import (
     Checkpoint,
     CheckpointError,
+    ReplayRunner,
     canonical_json,
     load_checkpoint,
     save_checkpoint,
@@ -256,6 +259,53 @@ class TestCheckpointFile:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(CheckpointError, match="JSON"):
             load_checkpoint(path)
+
+    def test_crash_before_replace_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.json"
+        save_checkpoint(self._checkpoint(), path)
+        newer = Checkpoint(**{**vars(self._checkpoint()), "events_consumed": 9})
+
+        def crash(source, target):
+            raise OSError("simulated crash between write and replace")
+
+        monkeypatch.setattr("repro.replay.checkpoint.os.replace", crash)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_checkpoint(newer, path)
+        assert load_checkpoint(path) == self._checkpoint()
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+    def test_resume_after_a_crashed_checkpoint_write(self, tmp_path, monkeypatch):
+        """A replay killed while writing its third checkpoint resumes from the
+        second one to the uninterrupted run's state hash."""
+        log_path = tmp_path / "ck.jsonl"
+        write_event_log(make_stream(), log_path, stream_name="ck")
+        full = ReplayRunner(make_workload(), plan=make_plan()).run(log_path)
+
+        real_replace = os.replace
+        writes = []
+
+        def crash_on_third(source, target):
+            writes.append(target)
+            if len(writes) == 3:
+                raise OSError("simulated crash between write and replace")
+            real_replace(source, target)
+
+        monkeypatch.setattr("repro.replay.checkpoint.os.replace", crash_on_third)
+        checkpoint_dir = tmp_path / "cks"
+        with pytest.raises(OSError, match="simulated crash"):
+            ReplayRunner(make_workload(), plan=make_plan()).run(
+                log_path, checkpoint_every=1, checkpoint_dir=checkpoint_dir
+            )
+        monkeypatch.undo()
+
+        survivors = sorted(checkpoint_dir.iterdir())
+        assert survivors == [Path(target) for target in writes[:2]]
+        newest = load_checkpoint(survivors[-1])
+        resumed = ReplayRunner(make_workload(), plan=make_plan()).run(
+            log_path, resume_from=survivors[-1]
+        )
+        assert resumed.state_hash == full.state_hash
+        assert newest.events_consumed + resumed.events_replayed == full.events_replayed
 
     def test_validate_rejects_fingerprint_mismatch(self):
         checkpoint = self._checkpoint()

@@ -10,7 +10,10 @@ from repro.core import (
     GreedyOptimizer,
     SharonOptimizer,
 )
+from repro.core.optimizer import PLAN_FINDER_NODES_PER_SECOND
 from repro.datasets import chain_workload, traffic_workload
+from repro.events import SlidingWindow
+from repro.experiments.scenarios import ec_scenario
 from repro.utils import RateCatalog
 
 from ..conftest import paper_benefit
@@ -75,6 +78,53 @@ class TestSharonOptimizer:
         result = SharonOptimizer(rates, time_budget_seconds=1e-9).optimize(workload)
         assert result.used_fallback
         assert result.plan.is_valid(ConflictDetector(workload))
+
+    def test_time_budget_is_a_node_cap_the_finder_fits_in(self):
+        """20 EC queries (39 candidates, none reduced away) under a 2 s budget.
+
+        The budget is a cap of 2 s × ``PLAN_FINDER_NODES_PER_SECOND`` search
+        nodes, which the branch-and-bound search stays far below here, so it
+        proves the optimum instead of settling for the greedy plan.
+        """
+        workload, stream = ec_scenario(
+            num_queries=20,
+            pattern_length=5,
+            events_per_second=15.0,
+            duration=60,
+            num_items=40,
+            window=SlidingWindow(size=40, slide=20),
+            seed=151,
+        )
+        rates = RateCatalog.from_stream(stream, per="time-unit")
+        budgeted = SharonOptimizer(rates, time_budget_seconds=2.0).optimize(workload)
+        unbounded = SharonOptimizer(rates).optimize(workload)
+        greedy = GreedyOptimizer(rates).optimize(workload)
+        assert budgeted.candidates_after_reduction == 39
+        assert not budgeted.used_fallback
+        assert budgeted.plans_considered < 2.0 * PLAN_FINDER_NODES_PER_SECOND
+        assert budgeted.plan == unbounded.plan
+        assert budgeted.plan.score > greedy.plan.score
+
+    def test_durable_churn_plan_is_pinned(self):
+        """The benchmark's ``durable-churn`` workload (seed 1) keeps its plan.
+
+        These five candidates are the level-wise finder's choice over the
+        46-candidate graph; the branch-and-bound search must return the very
+        same plan, so results, state hashes and checkpoints do not move.
+        """
+        from perfbench.workloads import generate
+
+        inputs = generate("durable-churn", 1)
+        result = SharonOptimizer(inputs.rates).optimize(inputs.workload)
+        assert result.candidates_after_reduction == 46
+        assert [(c.pattern.event_types, c.query_names) for c in result.plan] == [
+            (tuple(f"Item{i}" for i in range(15, 20)), ("q1", "q5", "q9", "q14", "q18")),
+            (tuple(f"Item{i}" for i in range(25, 30)), ("q3", "q7", "q11", "q20")),
+            (tuple(f"Item{i}" for i in range(29, 34)), ("q8", "q16", "q19")),
+            (tuple(f"Item{i}" for i in range(31, 36)), ("q4", "q6", "q12", "q17")),
+            (tuple(f"Item{i}" for i in range(34, 39)), ("q2", "q10", "q13", "q15")),
+        ]
+        assert not result.used_fallback
 
     def test_empty_plan_for_workload_without_sharing(self, uniform_query_factory):
         from repro.queries import Workload

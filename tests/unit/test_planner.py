@@ -105,13 +105,70 @@ class TestFindOptimalPlan:
             )
 
     def test_statistics_populated(self):
+        """The search's counters, traced by hand on a three-candidate graph.
+
+        GWMIN seeds the incumbent {v1, v2} (score 5).  The root (empty plan)
+        has cover bound 3 + 2 = 5, so it branches on the heaviest candidate
+        v2; node {v2} branches on v1; node {v1, v2} has nothing left.  Back
+        at {v2} the remaining bound (v0: 3 + 1) and at the root the remaining
+        bound (v0, v1 in one clique: 2) fall below 5, so both stop.
+        """
         graph, _ = build_graph([1.0, 2.0, 3.0], [(0, 1)])
         stats = PlanSearchStatistics()
         find_optimal_plan(graph, statistics=stats)
         assert stats.candidates == 3
-        assert stats.plans_considered >= 3
-        assert stats.levels >= 1
-        assert stats.peak_level_width >= 2
+        assert stats.plans_considered == 3  # {}, {v2}, {v1, v2}
+        assert stats.levels == 2  # the deepest plan visited, {v1, v2}
+        assert stats.peak_level_width == 1  # no node expanded two children
+        assert not stats.truncated
+
+    def test_statistics_on_a_graph_that_branches_twice(self):
+        """Path v0 - v1 - v2 of weights 2, 3.5, 2: GWMIN picks {v1} (score 3.5).
+
+        The root's cover bound is 3.5 + 2 = 5.5, so it expands v1 (a leaf: its
+        neighbours are gone) and then, with v1 excluded, the bound 2 + 2 = 4
+        still passes, so it expands v0, whose child {v0, v2} scores 4.  The
+        root's third turn has only v2 left (bound 2 < 4) and stops.
+        """
+        graph, vertices = build_graph([2.0, 3.5, 2.0], [(0, 1), (1, 2)])
+        stats = PlanSearchStatistics()
+        plan = find_optimal_plan(graph, statistics=stats)
+        assert set(plan) == {vertices[0], vertices[2]}
+        assert stats.plans_considered == 4  # {}, {v1}, {v0}, {v0, v2}
+        assert stats.levels == 2
+        assert stats.peak_level_width == 2  # the root expanded v1 and v0
+        assert not stats.truncated
+
+    def test_node_limit_returns_the_gwmin_incumbent(self):
+        graph, vertices = build_graph([2.0, 3.5, 2.0], [(0, 1), (1, 2)])
+        stats = PlanSearchStatistics()
+        plan = find_optimal_plan(graph, statistics=stats, node_limit=2)
+        assert stats.truncated
+        assert stats.plans_considered == 2
+        assert set(plan) == {vertices[1]}  # GWMIN's plan, not the optimum
+        unlimited = PlanSearchStatistics()
+        find_optimal_plan(graph, statistics=unlimited, node_limit=4)
+        assert not unlimited.truncated
+
+    def test_node_limit_spares_a_search_with_nothing_to_branch_on(self):
+        """The root is always visited: an empty graph is solved, not truncated."""
+        stats = PlanSearchStatistics()
+        free = [candidate(99, 7.0)]
+        plan = find_optimal_plan(SharonGraph(), free, stats, node_limit=0)
+        assert set(plan) == set(free)
+        assert stats.plans_considered == 1
+        assert not stats.truncated
+
+    def test_ties_resolve_as_the_level_wise_traversal_does(self):
+        """Equal scores: fewest candidates first, then the smallest in key order."""
+        graph, vertices = build_graph([2.0, 1.0, 1.0, 2.0], [(0, 1), (0, 2), (0, 3)])
+        # {v0} and {v3} score 2, {v1, v2} scores 2 too, {v1, v2, v3} scores 4.
+        assert set(find_optimal_plan(graph)) == {vertices[1], vertices[2], vertices[3]}
+        graph, vertices = build_graph(
+            [2.0, 1.0, 1.0, 2.0], [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+        )
+        # Maximal score 2 is reached by {v0}, {v3} and {v1, v2}: {v0} wins.
+        assert set(find_optimal_plan(graph)) == {vertices[0]}
 
     def test_conflict_free_candidates_added_to_result(self):
         graph, vertices = build_graph([5.0, 4.0], [(0, 1)])
