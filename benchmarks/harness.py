@@ -42,6 +42,7 @@ __all__ = [
     "greedy_plan",
     "run_executor",
     "run_best_of",
+    "run_best_of_each",
     "retry_shape",
     "record_series",
     "require_shape_cpus",
@@ -103,16 +104,36 @@ def run_best_of(
     their ``record_series`` output (``BENCH_engine.json``'s own spread
     columns come from ``repro.experiments.bench``).
     """
+    return run_best_of_each(name, workload, stream, [plan], repeats, **kwargs)[0]
+
+
+def run_best_of_each(
+    name: str,
+    workload,
+    stream,
+    plans,
+    repeats: int = 3,
+    **kwargs,
+) -> list[ExecutorRun]:
+    """:func:`run_best_of` for several plans, their samples taking turns.
+
+    Comparing two plans' best-of-N latencies is fair only when a slow phase
+    of the host hits both sides: timing all of one plan's samples before
+    the other's lets it land on one side alone.  Sample ``i`` of every plan
+    runs before sample ``i + 1`` of any.
+    """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    best: ExecutorRun | None = None
-    samples: list[float] = []
+    best: list[ExecutorRun | None] = [None] * len(plans)
+    samples: list[list[float]] = [[] for _ in plans]
     for _ in range(repeats):
-        run = run_executor(name, workload, stream, plan, **kwargs)
-        samples.append(run.latency_ms)
-        if best is None or run.latency_ms < best.latency_ms:
-            best = run
-    best.latency_samples_ms = tuple(samples)
+        for index, plan in enumerate(plans):
+            run = run_executor(name, workload, stream, plan, **kwargs)
+            samples[index].append(run.latency_ms)
+            if best[index] is None or run.latency_ms < best[index].latency_ms:
+                best[index] = run
+    for run, taken in zip(best, samples):
+        run.latency_samples_ms = tuple(taken)
     return best
 
 

@@ -21,7 +21,7 @@ from .harness import (
     greedy_plan,
     optimize,
     record_series,
-    run_best_of,
+    run_best_of_each,
     run_executor,
     tx_scenario,
 )
@@ -70,8 +70,9 @@ def test_fig16_optimal_plan_not_worse_than_greedy(benchmark):
         workload, stream = scenario_for(num_queries)
         greedy = greedy_plan(workload, stream)
         optimal = optimize(workload, stream)
-        greedy_run = run_best_of("Sharon", workload, stream, greedy, memory_sample_interval=4)
-        optimal_run = run_best_of("Sharon", workload, stream, optimal, memory_sample_interval=4)
+        greedy_run, optimal_run = run_best_of_each(
+            "Sharon", workload, stream, [greedy, optimal], repeats=5, memory_sample_interval=4
+        )
         rows.append((num_queries, greedy, optimal, greedy_run, optimal_run))
 
     def check():

@@ -61,12 +61,37 @@ class OptimizationResult:
 
     plan: SharingPlan
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    phase_bytes: dict[str, int] = field(default_factory=dict)
     candidates_total: int = 0
     candidates_after_expansion: int = 0
     candidates_after_reduction: int = 0
     plans_considered: int = 0
     used_fallback: bool = False
+    #: Each phase's output (graph or plan), sized only when read.
+    _phase_outputs: dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _phase_bytes: "dict[str, int] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def keep_phase_output(self, phase: str, output: object) -> None:
+        """Record what ``phase`` produced, for :attr:`phase_bytes`."""
+        self._phase_outputs[phase] = output
+        self._phase_bytes = None
+
+    @property
+    def phase_bytes(self) -> dict[str, int]:
+        """``deep_sizeof`` of each phase's output (Figure 15's memory bars).
+
+        Measured on first read rather than after every phase: executors never
+        read it, and no phase mutates an earlier phase's output, so the sizes
+        are those an eager measurement would give.
+        """
+        if self._phase_bytes is None:
+            self._phase_bytes = {
+                phase: deep_sizeof(output) for phase, output in self._phase_outputs.items()
+            }
+        return self._phase_bytes
 
     @property
     def total_seconds(self) -> float:
@@ -103,7 +128,7 @@ class _BaseOptimizer:
             workload, self.model, sharable=sharable, benefit_override=self.benefit_override
         )
         result.phase_seconds["graph construction"] = time.perf_counter() - started
-        result.phase_bytes["graph construction"] = deep_sizeof(graph)
+        result.keep_phase_output("graph construction", graph)
         result.candidates_total = len(graph)
         return graph
 
@@ -128,7 +153,7 @@ class GreedyOptimizer(_BaseOptimizer):
         started = time.perf_counter()
         plan = gwmin_plan(graph)
         result.phase_seconds["GWMIN"] = time.perf_counter() - started
-        result.phase_bytes["GWMIN"] = deep_sizeof(plan)
+        result.keep_phase_output("GWMIN", plan)
         result.plan = plan
         result.candidates_after_expansion = len(graph)
         result.candidates_after_reduction = len(graph)
@@ -160,7 +185,7 @@ class ExhaustiveOptimizer(_BaseOptimizer):
                 graph, workload, model=self.model, benefit_of=self._maybe_override(workload)
             )
             result.phase_seconds["graph expansion"] = time.perf_counter() - started
-            result.phase_bytes["graph expansion"] = deep_sizeof(graph)
+            result.keep_phase_output("graph expansion", graph)
         result.candidates_after_expansion = len(graph)
         result.candidates_after_reduction = len(graph)
 
@@ -186,7 +211,7 @@ class ExhaustiveOptimizer(_BaseOptimizer):
             if score > best_score:
                 best, best_score = subset, score
         result.phase_seconds["exhaustive search"] = time.perf_counter() - started
-        result.phase_bytes["exhaustive search"] = deep_sizeof(best)
+        result.keep_phase_output("exhaustive search", best)
         result.plans_considered = explored
         result.plan = SharingPlan(best)
         return result
@@ -247,13 +272,13 @@ class SharonOptimizer(_BaseOptimizer):
                 max_options_per_candidate=self.max_options_per_candidate,
             )
             result.phase_seconds["graph expansion"] = time.perf_counter() - started
-            result.phase_bytes["graph expansion"] = deep_sizeof(graph)
+            result.keep_phase_output("graph expansion", graph)
         result.candidates_after_expansion = len(graph)
 
         started = time.perf_counter()
         reduction = reduce_sharon_graph(graph)
         result.phase_seconds["graph reduction"] = time.perf_counter() - started
-        result.phase_bytes["graph reduction"] = deep_sizeof(reduction.reduced_graph)
+        result.keep_phase_output("graph reduction", reduction.reduced_graph)
         result.candidates_after_reduction = len(reduction.reduced_graph)
 
         started = time.perf_counter()
@@ -268,7 +293,7 @@ class SharonOptimizer(_BaseOptimizer):
         )
         result.used_fallback = statistics.truncated
         result.phase_seconds["plan finder"] = time.perf_counter() - started
-        result.phase_bytes["plan finder"] = deep_sizeof(plan)
+        result.keep_phase_output("plan finder", plan)
         result.plans_considered = statistics.plans_considered
         result.plan = plan
         return result

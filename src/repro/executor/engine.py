@@ -54,12 +54,13 @@ from ..queries.pattern import Pattern
 from ..queries.predicates import PredicateSet, compile_filter_kernel
 from ..queries.query import Query
 from ..queries.workload import Workload
+from ..utils.canonical import splice_json
 from .chained import QueryChainState, stage_event_types
 from .churn import ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
 from .prefix_agg import SharedSegmentState
-from .results import QueryResult, ResultSet
+from .results import CanonicalResults, QueryResult, ResultSet, results_from_rows
 
 __all__ = [
     "ExecutionReport",
@@ -354,28 +355,6 @@ class WindowGroupScope:
             self.chains[query.name].restore_state(chain)
 
 
-def _dump_results(results: ResultSet) -> list:
-    """Canonical JSON-safe listing of a result set (sorted by result key).
-
-    Sorting by ``repr(key)`` (group tuples may mix value types) makes the
-    dump independent of insertion order, so a resumed run and a full run
-    export byte-identical results even though they populated the set in a
-    different order.
-    """
-    return [
-        [result.query_name, [result.window.start, result.window.end], list(result.group), result.value]
-        for result in sorted(results, key=lambda result: repr(result.key))
-    ]
-
-
-def _load_results(dumped: list) -> ResultSet:
-    """Rebuild a :class:`ResultSet` from :func:`_dump_results` output."""
-    results = ResultSet()
-    for name, (start, end), group, value in dumped:
-        results.add(QueryResult(name, WindowInstance(start, end), tuple(group), value))
-    return results
-
-
 def _churn_effective_at(last_timestamp: int, at: "int | None") -> int:
     """Validate and resolve a churn op's effective timestamp.
 
@@ -462,7 +441,32 @@ def _restore_reorder(buffer: "ReorderBuffer | None", state: dict) -> None:
         buffer.restore_state(reorder)
 
 
-class EngineSession:
+class _SessionExport:
+    """The export half of both session classes' checkpoint hooks.
+
+    Each session builds its snapshot in ``_snapshot(results)``, taking the
+    results listing as an argument, and keeps a :class:`CanonicalResults`
+    cache, so the listing is sorted and encoded once per result instead of
+    once per export (``docs/replay.md``, "Checkpoints").
+    """
+
+    __slots__ = ()
+
+    def export_state(self) -> dict:
+        """Snapshot the whole session as a JSON-safe dict (between batches)."""
+        return self._snapshot(self._listing.rows(self.results))
+
+    def state_json(self) -> str:
+        """The text of ``canonical_json(self.export_state())``, built cheaply.
+
+        The results listing is spliced in from the cached row texts, so only
+        the open state is encoded afresh.  State hashes and checkpoint
+        writes use this text.
+        """
+        return splice_json(self._snapshot(None), {"results": self._listing.text(self.results)})
+
+
+class EngineSession(_SessionExport):
     """One stepwise per-instance engine run that can be checkpointed.
 
     A session owns everything :meth:`StreamingEngine.run` used to keep in
@@ -483,6 +487,7 @@ class EngineSession:
         "engine",
         "collector",
         "results",
+        "_listing",
         "_scopes",
         "_pool",
         "_cursor",
@@ -497,6 +502,7 @@ class EngineSession:
             executor_name=engine.name, memory_sample_interval=engine.memory_sample_interval
         )
         self.results = ResultSet()
+        self._listing = CanonicalResults()
         #: Active scopes: window instance -> group key -> scope.
         self._scopes: dict[WindowInstance, dict[tuple, WindowGroupScope]] = {}
         #: Retired scopes available for reuse under the current compiled workload.
@@ -671,8 +677,8 @@ class EngineSession:
         return ExecutionReport(results=self.results, metrics=metrics, plan=engine.compiled.plan)
 
     # -- checkpointing -----------------------------------------------------------
-    def export_state(self) -> dict:
-        """Snapshot the whole session as a JSON-safe dict (between batches).
+    def _snapshot(self, results) -> dict:
+        """The session snapshot, with ``results`` as its results listing.
 
         Scopes are listed window-sorted then group-sorted (by ``repr``) and
         results in canonical key order, so the export is independent of the
@@ -699,7 +705,7 @@ class EngineSession:
             "mode": self.mode,
             "cursor": self._cursor.export_state(),
             "scopes": scopes,
-            "results": _dump_results(self.results),
+            "results": results,
             "metrics": self.collector.export_counters(),
         }
         # Disorder-free sessions export exactly the pre-disorder schema.
@@ -764,12 +770,12 @@ class EngineSession:
             scope = WindowGroupScope(scope_compiled, window, group)
             scope.restore_state(dump)
             self._scopes.setdefault(window, {})[group] = scope
-        self.results = _load_results(state["results"])
+        self.results = results_from_rows(state["results"])
         self.collector.restore_counters(state["metrics"])
         _restore_reorder(self._reorder, state)
 
 
-class PaneEngineSession:
+class PaneEngineSession(_SessionExport):
     """Stepwise pane-partitioned engine run (checkpointable).
 
     The pane-mode counterpart of :class:`EngineSession`: owns the single
@@ -787,6 +793,7 @@ class PaneEngineSession:
         "engine",
         "collector",
         "results",
+        "_listing",
         "_pane_compiled",
         "_pane_width",
         "_open_pane_index",
@@ -803,6 +810,7 @@ class PaneEngineSession:
             executor_name=engine.name, memory_sample_interval=engine.memory_sample_interval
         )
         self.results = ResultSet()
+        self._listing = CanonicalResults()
         self._pane_compiled = CompiledPaneWorkload(engine.workload)
         self._pane_width = engine.compiled.window.pane_width
         #: The single open pane: index plus one scope per group seen in it.
@@ -996,8 +1004,8 @@ class PaneEngineSession:
         return ExecutionReport(results=self.results, metrics=metrics, plan=engine.compiled.plan)
 
     # -- checkpointing -----------------------------------------------------------
-    def export_state(self) -> dict:
-        """Snapshot the pane session as a JSON-safe dict (between batches).
+    def _snapshot(self, results) -> dict:
+        """The pane session snapshot, with ``results`` as its results listing.
 
         Same canonical ordering discipline as
         :meth:`EngineSession.export_state`: groups sorted by ``repr``,
@@ -1024,7 +1032,7 @@ class PaneEngineSession:
             "open_pane_scopes": open_scopes,
             "accumulators": accumulators,
             "last_timestamp": self._last_timestamp,
-            "results": _dump_results(self.results),
+            "results": results,
             "metrics": self.collector.export_counters(),
         }
         # Disorder-free sessions stay schema-compatible with old snapshots.
@@ -1075,7 +1083,7 @@ class PaneEngineSession:
             self._accumulators.setdefault(window, {})[group] = accumulator
         # Pre-disorder snapshots carry no explicit guard timestamp.
         self._last_timestamp = state.get("last_timestamp", -1)
-        self.results = _load_results(state["results"])
+        self.results = results_from_rows(state["results"])
         self.collector.restore_counters(state["metrics"])
         _restore_reorder(self._reorder, state)
 

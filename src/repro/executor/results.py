@@ -5,16 +5,21 @@ Every executor — online or two-step, shared or not — emits one
 least one relevant event.  A :class:`ResultSet` collects them and offers the
 lookups and equivalence checks the test suite relies on when cross-validating
 executors against each other and against the brute-force oracle.
+:class:`CanonicalResults` keeps a result set's canonical listing — the one
+checkpoints and state hashes carry — sorted and encoded across exports.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from ..events.windows import WindowInstance
+from ..utils.canonical import canonical_json
 
-__all__ = ["QueryResult", "ResultSet"]
+__all__ = ["QueryResult", "ResultSet", "CanonicalResults", "results_from_rows"]
 
 #: Key identifying one result: (query name, window instance, group key).
 ResultKey = tuple[str, WindowInstance, tuple]
@@ -44,12 +49,19 @@ class ResultSet:
 
     def __init__(self, results: Iterable[QueryResult] = ()) -> None:
         self._by_key: dict[ResultKey, QueryResult] = {}
+        #: How many :meth:`add` calls replaced an earlier result; a replaced
+        #: result keeps its insertion position, so listings built from the
+        #: insertion order (:class:`CanonicalResults`) watch this count.
+        self.replacements = 0
         for result in results:
             self.add(result)
 
     def add(self, result: QueryResult) -> None:
         """Insert ``result``, replacing any earlier result with the same key."""
-        self._by_key[result.key] = result
+        key = result.key
+        if key in self._by_key:
+            self.replacements += 1
+        self._by_key[key] = result
 
     def __iter__(self) -> Iterator[QueryResult]:
         return iter(self._by_key.values())
@@ -122,6 +134,105 @@ class ResultSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResultSet({len(self._by_key)} results)"
+
+
+def _row(result: QueryResult) -> list:
+    """One result as its JSON-safe listing row."""
+    return [result.query_name, [result.window.start, result.window.end], list(result.group), result.value]
+
+
+def _encode_row(result: QueryResult) -> str:
+    """The canonical JSON text of one listing row."""
+    return canonical_json(_row(result))
+
+
+def results_from_rows(rows: list) -> ResultSet:
+    """Rebuild a :class:`ResultSet` from a listing (:meth:`CanonicalResults.rows`)."""
+    results = ResultSet()
+    for name, (start, end), group, value in rows:
+        results.add(QueryResult(name, WindowInstance(start, end), tuple(group), value))
+    return results
+
+
+class CanonicalResults:
+    """A result set's canonical listing, each result encoded once.
+
+    Session exports list results sorted by ``repr(key)`` (group tuples may
+    mix value types), so the listing is independent of insertion order and
+    a resumed run exports the same bytes as a full one.  Re-sorting and
+    re-encoding the whole history at every export made a checkpoint cost
+    O(results); this cache keeps the sorted order and each row's canonical
+    JSON text across exports instead:
+
+    * results added since the last export are keyed, encoded and merged
+      into the sorted order (old rows before new ones on equal keys, as a
+      stable sort of the insertion order would place them);
+    * a replaced result (:attr:`ResultSet.replacements` moved) or a
+      different :class:`ResultSet` (a session restore installs a new one)
+      starts the listing over.
+
+    Results are read in :class:`ResultSet` insertion order, which a
+    replacement does not change, so "added since the last export" is the
+    tail past the count already listed.
+    """
+
+    __slots__ = ("_source", "_replacements", "_keys", "_texts", "_results", "_text")
+
+    def __init__(self) -> None:
+        self._source: "ResultSet | None" = None
+        self._replacements = 0
+        #: Parallel lists in listing order: sort key, row text, result.
+        self._keys: list[str] = []
+        self._texts: list[str] = []
+        self._results: list[QueryResult] = []
+        #: The joined listing text, until the listing next changes.
+        self._text: "str | None" = None
+
+    def rows(self, results: ResultSet) -> list:
+        """The listing of ``results`` as JSON-safe rows (``export_state``)."""
+        self._sync(results)
+        return [_row(result) for result in self._results]
+
+    def text(self, results: ResultSet) -> str:
+        """``canonical_json(self.rows(results))``, from the cached row texts."""
+        self._sync(results)
+        if self._text is None:
+            self._text = "[" + ",".join(self._texts) + "]"
+        return self._text
+
+    def _sync(self, results: ResultSet) -> None:
+        """Bring the listing up to date with ``results``."""
+        if results is not self._source or results.replacements != self._replacements:
+            self._source = results
+            self._replacements = results.replacements
+            self._keys, self._texts, self._results = [], [], []
+            self._text = None
+        listed = len(self._keys)
+        if len(results) == listed:
+            return
+        fresh = sorted(
+            ((repr(result.key), _encode_row(result), result) for result in islice(results, listed, None)),
+            key=lambda entry: entry[0],
+        )
+        old_keys, old_texts, old_results = self._keys, self._texts, self._results
+        keys: list[str] = []
+        texts: list[str] = []
+        merged: list[QueryResult] = []
+        start = 0
+        for key, text, result in fresh:
+            at = bisect_right(old_keys, key, start)
+            keys += old_keys[start:at]
+            texts += old_texts[start:at]
+            merged += old_results[start:at]
+            keys.append(key)
+            texts.append(text)
+            merged.append(result)
+            start = at
+        keys += old_keys[start:]
+        texts += old_texts[start:]
+        merged += old_results[start:]
+        self._keys, self._texts, self._results = keys, texts, merged
+        self._text = None
 
 
 def _values_equivalent(a, b, tolerance: float) -> bool:

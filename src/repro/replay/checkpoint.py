@@ -31,7 +31,7 @@ from pathlib import Path
 
 from ..core.plan import SharingPlan
 from ..queries.workload import Workload
-from .trace import canonical_json
+from ..utils.canonical import canonical_json, splice_json
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -151,19 +151,31 @@ class Checkpoint:
             )
 
 
-def save_checkpoint(checkpoint: Checkpoint, path: "str | Path") -> Path:
+def save_checkpoint(
+    checkpoint: Checkpoint, path: "str | Path", engine_state_json: "str | None" = None
+) -> Path:
     """Write a checkpoint file (canonical JSON, single object) atomically.
+
+    ``engine_state_json``, when given, is the canonical JSON text of the
+    engine state — a session's ``state_json()`` — and is written verbatim in
+    place of ``checkpoint.engine_state``, so the session's cached results
+    encoding is not redone.  The file bytes are the same either way.
 
     The bytes go to a sibling temporary file, which is flushed and fsynced
     before ``os.replace`` moves it over ``path``.  A crash mid-write therefore
     leaves ``path`` as it was (absent, or the previous checkpoint), never
     torn; a failed write removes its temporary file.
     """
+    payload = checkpoint.as_payload()
+    if engine_state_json is None:
+        text = canonical_json(payload)
+    else:
+        text = splice_json(payload, {"engine_state": engine_state_json})
     path = Path(path)
     temporary = path.with_name(f".{path.name}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(checkpoint.as_payload()) + "\n")
+            handle.write(text + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, path)

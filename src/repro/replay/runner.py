@@ -321,11 +321,12 @@ class ReplayRunner:
             session.restore_state(checkpoint.engine_state)
             events_consumed = checkpoint.events_consumed
 
+        # An existing trace is appended to even while empty (it is falsy).
         replay_trace: "ReplayTrace | None"
-        if trace is True:
-            replay_trace = ReplayTrace()
+        if isinstance(trace, ReplayTrace):
+            replay_trace = trace
         else:
-            replay_trace = trace or None
+            replay_trace = ReplayTrace() if trace else None
 
         if checkpoint_dir is not None:
             checkpoint_dir = Path(checkpoint_dir)
@@ -404,9 +405,10 @@ class ReplayRunner:
                         last_timestamp=timestamp,
                         workload_fingerprint=self.fingerprint,
                         engine_config=self.engine_config,
-                        engine_state=session.export_state(),
+                        engine_state=None,
                     ),
                     path,
+                    engine_state_json=session.state_json(),
                 )
                 checkpoints.append(path)
                 collector.start()

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from ..utils.canonical import canonical_json
+
 __all__ = [
     "canonical_json",
     "state_hash",
@@ -27,28 +29,24 @@ __all__ = [
 ]
 
 
-def canonical_json(payload) -> str:
-    """Deterministic JSON encoding: sorted keys, compact, NaN rejected.
-
-    Python floats round-trip exactly through JSON (shortest-repr encoding),
-    so equal states always encode to equal strings and vice versa.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
 def state_hash(session_or_state) -> str:
     """sha256 hex digest of a session's exported state.
 
-    Accepts either a live engine session (anything with ``export_state()``)
-    or an already-exported state dict.  The export excludes wall-clock time
-    and memory measurements, so the hash is a pure function of the consumed
-    stream, the workload, and the engine configuration.
+    Accepts a live engine session (its ``state_json()`` text, which reuses
+    the session's cached result encoding), anything else with
+    ``export_state()``, or an already-exported state dict.  The export
+    excludes wall-clock time and memory measurements, so the hash is a pure
+    function of the consumed stream, the workload, and the engine
+    configuration.
     """
     state = session_or_state
-    export = getattr(state, "export_state", None)
-    if export is not None:
-        state = export()
-    return hashlib.sha256(canonical_json(state).encode("utf-8")).hexdigest()
+    encode = getattr(state, "state_json", None)
+    if encode is not None:
+        text = encode()
+    else:
+        export = getattr(state, "export_state", None)
+        text = canonical_json(state if export is None else export())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

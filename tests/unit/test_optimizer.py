@@ -10,11 +10,11 @@ from repro.core import (
     GreedyOptimizer,
     SharonOptimizer,
 )
-from repro.core.optimizer import PLAN_FINDER_NODES_PER_SECOND
+from repro.core.optimizer import PLAN_FINDER_NODES_PER_SECOND, OptimizationResult
 from repro.datasets import chain_workload, traffic_workload
 from repro.events import SlidingWindow
 from repro.experiments.scenarios import ec_scenario
-from repro.utils import RateCatalog
+from repro.utils import RateCatalog, deep_sizeof
 
 from ..conftest import paper_benefit
 
@@ -154,3 +154,42 @@ class TestExhaustiveOptimizer:
         optimizer = ExhaustiveOptimizer(rates, max_candidates=10)
         with pytest.raises(RuntimeError, match="would not terminate"):
             optimizer.optimize(workload)
+
+
+class TestPhaseBytes:
+    @pytest.mark.parametrize("expand", (False, True))
+    @pytest.mark.parametrize("num_queries", (4, 8, 12))
+    def test_lazy_sizes_equal_eager_sizes(self, monkeypatch, num_queries, expand):
+        """Sizes taken on first read equal sizes taken right after each phase.
+
+        Figure 15's configurations (``run_figure15``), with expansion on and
+        off: equality shows that no phase mutates an earlier phase's output.
+        """
+        workload, stream = ec_scenario(
+            num_queries=num_queries, pattern_length=5, events_per_second=15.0,
+            duration=60, num_items=40, seed=151,
+        )
+        rates = RateCatalog.from_stream(stream, per="time-unit")
+        eager: dict[int, dict[str, int]] = {}
+        keep = OptimizationResult.keep_phase_output
+
+        def keep_and_size(result, phase, output):
+            eager.setdefault(id(result), {})[phase] = deep_sizeof(output)
+            keep(result, phase, output)
+
+        monkeypatch.setattr(OptimizationResult, "keep_phase_output", keep_and_size)
+        optimizers = (
+            GreedyOptimizer(rates),
+            SharonOptimizer(rates, expand=expand, time_budget_seconds=10.0),
+            ExhaustiveOptimizer(rates, expand=expand, max_candidates=22),
+        )
+        measured = 0
+        for optimizer in optimizers:
+            try:
+                result = optimizer.optimize(workload)
+            except RuntimeError:
+                continue  # the exhaustive sweep refuses graphs over 22 candidates
+            assert result.phase_bytes == eager[id(result)]
+            assert result.peak_bytes == max(eager[id(result)].values())
+            measured += 1
+        assert measured >= 2
